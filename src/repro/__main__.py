@@ -96,13 +96,15 @@ def _load_trace(args: argparse.Namespace):
 
 
 def _result_line(result: SimulationResult) -> str:
+    # A run that issued no queries has no success ratio to report.
+    ratio = f"{result.successful_ratio:6.3f}" if result.queries_issued else "   n/a"
     delay = (
         f"{result.mean_access_delay / HOUR:8.1f}h"
         if result.queries_satisfied
         else "     n/a"
     )
     return (
-        f"{result.name:14s} ratio={result.successful_ratio:6.3f} "
+        f"{result.name:14s} ratio={ratio} "
         f"delay={delay} copies/item={result.caching_overhead:5.2f} "
         f"queries={result.queries_issued}"
     )

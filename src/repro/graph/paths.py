@@ -48,6 +48,8 @@ __all__ = [
     "shortest_path_weights_from",
     "shortest_path_weight_matrix",
     "hop_rate_tuples_from",
+    "expected_delay_tree",
+    "tree_path_weights",
 ]
 
 
@@ -310,6 +312,79 @@ def _hop_rate_tuples_from(
         return {node: path.rates for node, path in paths.items()}
     dist, pred = _expected_delay_dijkstra(graph, sources=[source])
     return _rate_tuples_from_predecessors(graph, source, dist[0], pred[0])
+
+
+def expected_delay_tree(graph: ContactGraph, source: int) -> Tuple[np.ndarray, int]:
+    """The expected-delay shortest-path tree from *source*, unevaluated.
+
+    Returns ``(pred_row, width)``: the scipy Dijkstra predecessor row
+    (int32, ``-9999`` at the source and at unreachable nodes) that
+    :func:`shortest_path_weights_from` walks for its hop-rate tuples, and
+    the pad width of that function's Eq. (2) batch — the largest hop
+    count over reachable nodes, at least 1, exactly the width
+    :func:`pad_rate_rows` gives the ragged tuples.  Together they let
+    :func:`tree_path_weights` evaluate any subset of the weight vector
+    bitwise equal to the full sweep.
+    """
+    if not 0 <= source < graph.num_nodes:
+        raise PathError(f"source {source} outside graph of {graph.num_nodes} nodes")
+    with maybe_span(active_profiler(), "kernel.rate_tuples"):
+        _, pred = _expected_delay_dijkstra(graph, sources=[source])
+    pred_row = pred[0].astype(np.int32)
+    # Hop count of every node by pointer-chasing the whole row at once:
+    # one pass per tree level.
+    hops = np.zeros(graph.num_nodes, dtype=np.int64)
+    cursor = pred_row.astype(np.intp)
+    live = cursor >= 0
+    while live.any():
+        hops += live
+        cursor[live] = pred_row[cursor[live]]
+        live = cursor >= 0
+    return pred_row, max(int(hops.max()), 1)
+
+
+def tree_path_weights(
+    graph: ContactGraph,
+    source: int,
+    pred_row: np.ndarray,
+    width: int,
+    nodes: Sequence[int],
+    time_budget: float,
+) -> np.ndarray:
+    """Eq. (2) weights from *source* to *nodes* over a tree from
+    :func:`expected_delay_tree`.
+
+    Each node's hop-rate tuple is walked off the predecessor row with the
+    same :meth:`ContactGraph.rate` reads the full sweep makes, and every
+    reachable non-source node goes into one
+    :func:`hypoexponential_cdf_batch` call on rows zero-padded to
+    *width*.  The kernel is row-independent at a fixed width, so each
+    value is bitwise equal to the matching entry of
+    :func:`shortest_path_weights_from`.  The source weighs 1, an
+    unreachable node 0.
+    """
+    out = np.zeros(len(nodes))
+    rows: List[List[float]] = []
+    slots: List[int] = []
+    for slot, node in enumerate(nodes):
+        node = int(node)
+        if node == source:
+            out[slot] = 1.0
+        elif pred_row[node] >= 0:
+            rates: List[float] = []
+            while node != source:
+                parent = int(pred_row[node])
+                rates.append(graph.rate(parent, node))
+                node = parent
+            rates.reverse()
+            rows.append(rates)
+            slots.append(slot)
+    if rows:
+        padded = np.zeros((len(rows), width))
+        for i, rates in enumerate(rows):
+            padded[i, : len(rates)] = rates
+        out[slots] = hypoexponential_cdf_batch(padded, time_budget)
+    return out
 
 
 def shortest_path_weights_from(

@@ -30,36 +30,102 @@ poisoning this cache — all mutation goes through
 
 Cached weight vectors are returned read-only (``ndarray.flags.writeable
 = False``); callers that need to mutate must copy.
+
+Demand-driven entries
+---------------------
+Routers read two scalars per contact — the carrier's and the peer's
+path weight to one destination — so :meth:`PathWeightCache.weights_at`
+never builds the full vector.  In expected-delay mode a miss stores a
+:class:`LazyPathWeights` under the same key (and so the same LRU slot)
+the eager vector would take: the Dijkstra predecessor row, the eager
+batch's pad width and a per-node memo.  Each read evaluates its memo
+misses in one Eq. (2) batch padded to that width, bitwise equal to the
+eager vector's entries.  A full :meth:`PathWeightCache.weights` request
+on a lazy entry materialises the eager vector and replaces the entry in
+place; rows installed by :meth:`PathWeightCache.weight_matrix` replace
+it likewise, and scalar reads of a vector just index it.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from time import perf_counter
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import PathError
 from repro.graph import incremental as _incremental
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import (
     PathMode,
+    expected_delay_tree,
     hop_rate_tuples_from,
     shortest_path_weight_matrix,
     shortest_path_weights_from,
+    tree_path_weights,
 )
 from repro.graph.sparse import KnnWeightRows, knn_weight_rows
 from repro.obs.profile import active_profiler, maybe_span
 
-__all__ = ["PathWeightCache", "shared_weight_cache", "cached_path_weights"]
+__all__ = [
+    "LazyPathWeights",
+    "PathWeightCache",
+    "shared_weight_cache",
+    "cached_path_weights",
+]
+
+_FLOAT_BYTES = sys.getsizeof(0.0)
+
+#: Reachable-row count below which a scalar read's miss still builds the
+#: eager vector.  One Eq. (2) batch over 41 rows costs 0.17 ms, over 64
+#: rows 0.34 ms, and a call for one or two rows 0.12 ms (2-vCPU VM); a
+#: graph that small sees most of its rows read between refreshes, so one
+#: batch beats a kernel call per contact.
+_LAZY_MIN_ROWS = 64
+
+
+class LazyPathWeights:
+    """A single-source weight vector evaluated only where it is read.
+
+    Holds the expected-delay shortest-path tree from *source* (int32
+    predecessor row plus the eager batch's pad width, see
+    :func:`repro.graph.paths.expected_delay_tree`) and a node → weight
+    memo of the values read so far.
+    """
+
+    __slots__ = ("source", "pred_row", "width", "memo")
+
+    def __init__(self, graph: ContactGraph, source: int):
+        self.source = int(source)
+        self.pred_row, self.width = expected_delay_tree(graph, self.source)
+        self.memo: Dict[int, float] = {}
+
+    @property
+    def reachable_rows(self) -> int:
+        """Rows of the eager batch: the source plus every reachable node."""
+        return int(np.count_nonzero(self.pred_row >= 0)) + 1
+
+    @property
+    def nbytes(self) -> int:
+        """Predecessor row plus memo (the dict and its float values)."""
+        return (
+            int(self.pred_row.nbytes)
+            + sys.getsizeof(self.memo)
+            + len(self.memo) * _FLOAT_BYTES
+        )
 
 
 def _entry_bytes(value: object) -> int:
-    """Approximate heap footprint of a cached value (arrays only — the
-    rate-tuple dicts are small and counted as entries, not bytes)."""
+    """Approximate heap footprint of a cached value (arrays and lazy
+    weight vectors — the rate-tuple dicts are small and counted as
+    entries, not bytes)."""
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
+    if isinstance(value, LazyPathWeights):
+        return value.nbytes
     if isinstance(value, KnnWeightRows):
         return int(value.indptr.nbytes + value.indices.nbytes + value.weights.nbytes)
     return 0
@@ -102,7 +168,7 @@ class PathWeightCache:
 
     @property
     def nbytes(self) -> int:
-        """Tracked bytes of array payloads currently cached."""
+        """Tracked bytes of array payloads and lazy entries currently cached."""
         return self._bytes
 
     def clear(self) -> None:
@@ -131,11 +197,14 @@ class PathWeightCache:
             self._entries[key] = value
             self._entries.move_to_end(key)
             self._bytes += _entry_bytes(value)
-            while len(self._entries) > self._maxsize or (
-                self._bytes > self._maxbytes and len(self._entries) > 1
-            ):
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= _entry_bytes(evicted)
+            self._evict_locked()
+
+    def _evict_locked(self) -> None:
+        while len(self._entries) > self._maxsize or (
+            self._bytes > self._maxbytes and len(self._entries) > 1
+        ):
+            _, evicted = self._entries.popitem(last=False)
+            self._bytes -= _entry_bytes(evicted)
 
     # --- cached computations -------------------------------------------
 
@@ -154,7 +223,9 @@ class PathWeightCache:
             t0 = perf_counter()
         key = ("w", graph.fingerprint(), int(source), float(time_budget), mode)
         cached = self._lookup(key)
-        if cached is None:
+        if cached is None or isinstance(cached, LazyPathWeights):
+            # A lazy entry is a hit that still lacks most of its values:
+            # materialise the eager vector into the same slot.
             with maybe_span(prof, "weight_cache.weights.miss"):
                 cached = shortest_path_weights_from(graph, source, time_budget, mode)
             cached.flags.writeable = False
@@ -162,6 +233,75 @@ class PathWeightCache:
         elif prof.enabled:
             prof.add("weight_cache.weights.hit", perf_counter() - t0)
         return cached  # type: ignore[return-value]
+
+    def weights_at(
+        self,
+        graph: ContactGraph,
+        source: int,
+        nodes: Sequence[int],
+        time_budget: float,
+        mode: PathMode = PathMode.EXPECTED_DELAY,
+    ) -> List[float]:
+        """``[weights(graph, source, T, mode)[n] for n in nodes]``, bitwise,
+        evaluating Eq. (2) only for the requested nodes.
+
+        Counts one hit or miss per call, like one :meth:`weights` call.
+        In expected-delay mode a miss stores a :class:`LazyPathWeights`,
+        unless the source reaches fewer than :data:`_LAZY_MIN_ROWS`
+        nodes; max-probability mode stays eager.
+        """
+        prof = active_profiler()
+        if prof.enabled:
+            t0 = perf_counter()
+        key = ("w", graph.fingerprint(), int(source), float(time_budget), mode)
+        cached = self._lookup(key)
+        if cached is None:
+            with maybe_span(prof, "weight_cache.weights.miss"):
+                cached = self._scalar_entry(graph, source, time_budget, mode)
+            self._store(key, cached)
+        elif prof.enabled:
+            prof.add("weight_cache.weights.hit", perf_counter() - t0)
+        if isinstance(cached, np.ndarray):
+            return [float(cached[node]) for node in nodes]
+        return self._read_lazy(key, cached, graph, nodes, time_budget)  # type: ignore[arg-type]
+
+    def _scalar_entry(
+        self, graph: ContactGraph, source: int, time_budget: float, mode: PathMode
+    ) -> object:
+        """Miss path of :meth:`weights_at`: a lazy entry, or the eager
+        vector for a small reachable set or in max-probability mode."""
+        if mode is PathMode.EXPECTED_DELAY:
+            if time_budget <= 0:
+                raise PathError("time budget must be positive")
+            lazy = LazyPathWeights(graph, source)
+            if lazy.reachable_rows >= _LAZY_MIN_ROWS:
+                return lazy
+        vector = shortest_path_weights_from(graph, source, time_budget, mode)
+        vector.flags.writeable = False
+        return vector
+
+    def _read_lazy(
+        self,
+        key: Hashable,
+        entry: LazyPathWeights,
+        graph: ContactGraph,
+        nodes: Sequence[int],
+        time_budget: float,
+    ) -> List[float]:
+        memo = entry.memo
+        missing = [node for node in dict.fromkeys(map(int, nodes)) if node not in memo]
+        if missing:
+            with maybe_span(active_profiler(), "kernel.weights_at"):
+                values = tree_path_weights(
+                    graph, entry.source, entry.pred_row, entry.width, missing, time_budget
+                )
+            with self._lock:
+                before = entry.nbytes
+                memo.update(zip(missing, values.tolist()))
+                if self._entries.get(key) is entry:
+                    self._bytes += entry.nbytes - before
+                    self._evict_locked()
+        return [memo[int(node)] for node in nodes]
 
     def weight_matrix(
         self,

@@ -277,7 +277,14 @@ def hypoexponential_cdf_batch(
         1e-10 (property-tested).  The closed form (Eq. 2) is evaluated in
         one vectorized sweep; rows with clustered rates — or whose
         alternating-sign sum strays outside the unit interval — fall back
-        to the scalar matrix-exponential path row by row.
+        to the matrix exponential, one stacked :func:`scipy.linalg.expm`
+        call per hop count, memoised per (rate tuple, t) in
+        ``_MATRIX_CDF_CACHE`` across calls.
+
+    Each ``out[i]`` depends only on row *i*, its time and the padded
+    width — never on the other rows — so a row evaluated alone at the
+    same width is bitwise equal to its value in any batch (property-
+    tested).  Demand-driven path weights rely on this.
     """
     padded = pad_rate_rows(rate_rows)
     if padded.ndim != 2:

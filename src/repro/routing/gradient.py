@@ -7,11 +7,12 @@ which probabilistically shortens the remaining delay at every hop.
 
 Each node maintains its shortest-opportunistic-path weight to every
 destination it routes toward (the paper's nodes maintain exactly this for
-the central nodes).  Weight vectors come from the process-wide
+the central nodes).  Weights come from the process-wide
 :mod:`repro.graph.weight_cache`, keyed on graph content — so the push and
 query routers of one scheme (and the NCL selection that preceded them)
 share a single computation per (graph, destination, horizon) instead of
-each maintaining private tables.
+each maintaining private tables.  A decision reads only the carrier's
+and the peer's weight, and the cache evaluates only the weights read.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ class GradientRouter(ObservableRouter):
 
     def weight_to(self, node: int, destination: int, graph: ContactGraph) -> float:
         """The maintained path weight from *node* to *destination*."""
-        weights = shared_weight_cache().weights(
-            graph, destination, self._horizon, self._mode
+        (weight,) = shared_weight_cache().weights_at(
+            graph, destination, (node,), self._horizon, self._mode
         )
-        return float(weights[node])
+        return weight
 
     def decide(
         self,
@@ -92,8 +93,11 @@ class GradientRouter(ObservableRouter):
                     action=ForwardAction.HANDOVER, carrier_score=0.0, peer_score=1.0
                 ),
             )
-        carrier_score = self.weight_to(carrier, destination, graph)
-        peer_score = self.weight_to(peer, destination, graph)
+        # One read for both scores: their Eq. (2) values, when not yet
+        # memoised, are evaluated in a single batch.
+        carrier_score, peer_score = shared_weight_cache().weights_at(
+            graph, destination, (carrier, peer), self._horizon, self._mode
+        )
         if peer_score > carrier_score:
             action = (
                 ForwardAction.REPLICATE if self._replicate else ForwardAction.HANDOVER

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.graph.contact_graph import ContactGraph
-from repro.graph.paths import PathMode, shortest_path_weights_from
+from repro.graph.contact_graph import DENSE_NODE_THRESHOLD, ContactGraph
+from repro.graph.paths import (
+    PathMode,
+    hop_rate_tuples_from,
+    shortest_path_weights_from,
+)
 from repro.graph.weight_cache import (
+    LazyPathWeights,
     PathWeightCache,
     cached_path_weights,
     shared_weight_cache,
 )
+from repro.mathutils import hypoexponential as hypoexp_module
 
 
 @pytest.fixture
@@ -106,6 +112,142 @@ class TestPathWeightCache:
     def test_rejects_bad_maxsize(self):
         with pytest.raises(ValueError):
             PathWeightCache(maxsize=0)
+
+
+def _tree_graph(num_nodes, seed):
+    """Connected but for an isolated pair and a singleton at the end.
+
+    Mostly-chain attachment gives deep shortest-path trees (pad widths
+    past 8), and rates from a small vocabulary repeat exactly along paths
+    (rows that take the expm fallback).
+    """
+    rng = np.random.default_rng(seed)
+    graph = ContactGraph(num_nodes)
+    live = num_nodes - 3
+    vocabulary = (0.05, 0.1, 0.25, 0.5, 1.0)
+    for node in range(1, live):
+        parent = node - 1 if rng.random() < 0.5 else int(rng.integers(0, node))
+        graph.set_rate(parent, node, float(rng.choice(vocabulary)))
+    for _ in range(live // 8):
+        a, b = (int(x) for x in rng.integers(0, live, size=2))
+        if a != b:
+            graph.set_rate(a, b, float(rng.uniform(0.01, 1.0)))
+    graph.set_rate(live, live + 1, 0.5)
+    return graph
+
+
+class TestDemandDrivenWeights:
+    """``weights_at`` evaluates Eq. (2) only for the nodes it is asked
+    for, and every value is bitwise the eager vector's."""
+
+    @pytest.mark.parametrize(
+        "num_nodes, source", [(150, 0), (150, 17), (DENSE_NODE_THRESHOLD + 52, 5)]
+    )
+    def test_every_node_equals_eager_vector_bitwise(self, num_nodes, source):
+        graph = _tree_graph(num_nodes, seed=num_nodes + source)
+        assert graph.is_sparse == (num_nodes >= DENSE_NODE_THRESHOLD)
+        budget = 20.0
+        eager = shortest_path_weights_from(graph, source, budget)
+        # Evaluate the lazy values afresh, not from the expm memo the
+        # eager sweep just filled.
+        hypoexp_module._MATRIX_CDF_CACHE.clear()
+        cache = PathWeightCache()
+        rng = np.random.default_rng(num_nodes)
+        order = [int(node) for node in rng.permutation(num_nodes)]
+        lazy = np.zeros(num_nodes)
+        start = 0
+        while start < num_nodes:
+            chunk = order[start : start + int(rng.integers(1, 6))]
+            lazy[chunk] = cache.weights_at(graph, source, chunk, budget)
+            start += len(chunk)
+        assert [float(x).hex() for x in lazy] == [float(x).hex() for x in eager]
+        assert lazy[source] == 1.0
+        assert (lazy[num_nodes - 3 :] == 0.0).all()  # unreachable
+        assert cache.misses == 1
+        (entry,) = cache._entries.values()
+        assert isinstance(entry, LazyPathWeights)
+        # The pad width is the eager batch's: its longest hop-rate tuple.
+        tuples = hop_rate_tuples_from(graph, source, budget)
+        assert entry.width == max(len(rates) for rates in tuples.values())
+        if graph.is_sparse:
+            assert entry.width > 8
+
+    def test_full_request_after_lazy_reads_returns_eager_vector(self):
+        graph = _tree_graph(80, seed=3)
+        cache = PathWeightCache()
+        cache.weights_at(graph, 0, (4, 9), 20.0)
+        full = cache.weights(graph, 0, 20.0)
+        assert isinstance(full, np.ndarray) and not full.flags.writeable
+        np.testing.assert_array_equal(full, shortest_path_weights_from(graph, 0, 20.0))
+        assert cache.weights(graph, 0, 20.0) is full  # replaced in place
+        assert len(cache) == 1 and cache.misses == 1 and cache.hits == 2
+
+    def test_weight_matrix_rows_take_precedence_over_lazy_values(self):
+        graph = _tree_graph(80, seed=4)
+        cache = PathWeightCache()
+        nodes = list(range(80))
+        cache.weights_at(graph, 2, nodes, 20.0)
+        matrix = cache.weight_matrix(graph, 20.0)
+        assert cache.weights_at(graph, 2, nodes, 20.0) == matrix[2].tolist()
+        np.testing.assert_array_equal(cache.weights(graph, 2, 20.0), matrix[2])
+
+    def test_hits_and_misses_match_eager_reads(self):
+        graph = _tree_graph(80, seed=5)
+        reads = [(0, (1, 2)), (3, (3,)), (0, (5, 6)), (7, (0, 1)), (3, (9, 8)),
+                 (0, (1,)), (11, (2, 4)), (7, (7,)), (12, (1, 2)), (3, (4,))]
+        for maxsize in (2, 256):
+            lazy, eager = PathWeightCache(maxsize), PathWeightCache(maxsize)
+            for source, nodes in reads:
+                values = lazy.weights_at(graph, source, nodes, 20.0)
+                vector = eager.weights(graph, source, 20.0)
+                assert values == [float(vector[node]) for node in nodes]
+            assert (lazy.hits, lazy.misses) == (eager.hits, eager.misses)
+            assert list(lazy._entries) == list(eager._entries)
+
+    def test_small_reachable_set_stays_eager(self, graph):
+        cache = PathWeightCache()
+        assert cache.weights_at(graph, 0, (3, 0), 10.0) == [
+            float(shortest_path_weights_from(graph, 0, 10.0)[3]),
+            1.0,
+        ]
+        (entry,) = cache._entries.values()
+        assert isinstance(entry, np.ndarray) and not entry.flags.writeable
+
+    def test_max_probability_mode_stays_eager(self, graph):
+        cache = PathWeightCache()
+        values = cache.weights_at(graph, 0, (3, 1), 10.0, PathMode.MAX_PROBABILITY)
+        vector = cache.weights(graph, 0, 10.0, PathMode.MAX_PROBABILITY)
+        assert values == [float(vector[3]), float(vector[1])]
+        assert cache.hits == 1 and cache.misses == 1
+
+    def test_rejects_non_positive_budget(self, graph):
+        from repro.errors import PathError
+
+        with pytest.raises(PathError):
+            PathWeightCache().weights_at(graph, 0, (1,), 0.0)
+
+    def test_nbytes_counts_predecessor_row_and_memo(self):
+        graph = _tree_graph(80, seed=6)
+        cache = PathWeightCache()
+        cache.weights_at(graph, 0, (0,), 20.0)
+        (entry,) = cache._entries.values()
+        assert cache.nbytes == entry.nbytes > entry.pred_row.nbytes == 4 * 80
+        before = cache.nbytes
+        cache.weights_at(graph, 0, range(80), 20.0)
+        assert cache.nbytes == entry.nbytes > before
+        cache.weights(graph, 0, 20.0)  # materialised: the vector's bytes
+        assert cache.nbytes == 8 * 80
+        cache.clear()
+        assert cache.nbytes == 0
+
+    def test_byte_budget_evicts_lazy_entries(self):
+        graph = _tree_graph(80, seed=7)
+        cache = PathWeightCache(maxbytes=1)
+        for source in range(4):
+            cache.weights_at(graph, source, range(80), 20.0)
+        assert len(cache) == 1
+        (entry,) = cache._entries.values()
+        assert cache.nbytes == entry.nbytes
 
 
 class TestStaleCacheProtection:

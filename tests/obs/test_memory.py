@@ -29,7 +29,8 @@ import types
 import pytest
 
 from repro.errors import ConfigurationError, TraceConsistencyError
-from repro.graph.weight_cache import shared_weight_cache
+from repro.graph.contact_graph import ContactGraph
+from repro.graph.weight_cache import LazyPathWeights, shared_weight_cache
 from repro.obs.events import TraceEventKind
 from repro.obs.memory import (
     NULL_MEMORY_MONITOR,
@@ -212,11 +213,28 @@ def test_accountant_against_oracle(profiled_sim, name):
 
 
 def test_weight_cache_accountant_is_payload_lower_bound(profiled_sim):
-    """The weight-cache accountant tracks array payloads only, so it
-    must be a positive lower bound on the full-structure oracle."""
+    """The weight-cache accountant tracks array payloads and lazy
+    entries only, so it must be a positive lower bound on the
+    full-structure oracle — also once the cache holds lazy entries."""
     accountant = profiled_sim.memory_breakdown()["weight_cache"]
     independent = oracle_nbytes_weight_cache(profiled_sim)
     assert 0 < accountant <= independent
+    # Router-style scalar reads on a graph large enough for lazy entries
+    # (predecessor row plus memo), which the accountant must count.
+    ring = ContactGraph(100)
+    for node in range(100):
+        ring.set_rate(node, (node + 1) % 100, 0.5 + node % 3)
+    for source in range(3):
+        shared_weight_cache().weights_at(ring, source, (0, 1, 50), 10.0)
+    lazy = [
+        entry
+        for entry in shared_weight_cache()._entries.values()
+        if isinstance(entry, LazyPathWeights)
+    ]
+    assert len(lazy) >= 3
+    with_lazy = profiled_sim.memory_breakdown()["weight_cache"]
+    assert with_lazy >= sum(entry.nbytes for entry in lazy) > 0
+    assert with_lazy <= oracle_nbytes_weight_cache(profiled_sim)
 
 
 def test_oracles_cover_every_subsystem():

@@ -18,6 +18,7 @@ from repro.graph.paths import (
     shortest_path_weight_matrix,
     shortest_path_weights_from,
 )
+from repro.mathutils import hypoexponential as hypoexp_module
 from repro.mathutils.hypoexponential import (
     hypoexponential_cdf,
     hypoexponential_cdf_batch,
@@ -70,6 +71,81 @@ def test_batch_cdf_accepts_padded_matrix_form(rows, t):
     ragged = hypoexponential_cdf_batch(rows, t)
     padded = hypoexponential_cdf_batch(pad_rate_rows(rows), t)
     np.testing.assert_array_equal(ragged, padded)
+
+
+# --- row independence --------------------------------------------------------
+#
+# Demand-driven path weights evaluate a few rows of a weight vector on
+# their own and promise the values of the full batch bit for bit.  That
+# holds because every stage of the batch kernel is row-independent at a
+# fixed pad width: duplicate collapsing, the closed-form coefficients,
+# the pairwise row sums (whose order depends on the width, not on the
+# other rows) and the per-matrix expm fallback.
+
+#: a small rate vocabulary, so rows repeat exactly (the dedup path) and
+#: rates repeat within a row (the expm fallback)
+quantised_rate = st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0, 2.0]) | st.floats(
+    min_value=1e-3, max_value=5.0
+)
+
+
+@st.composite
+def padded_batches(draw):
+    """A zero-padded rate matrix whose rows repeat a few distinct tuples."""
+    width = draw(st.integers(min_value=1, max_value=14))
+    tuples = draw(
+        st.lists(
+            st.lists(quantised_rate, min_size=0, max_size=width), min_size=1, max_size=10
+        )
+    )
+    picks = draw(
+        st.lists(st.integers(min_value=0, max_value=len(tuples) - 1), min_size=1, max_size=90)
+    )
+    padded = np.zeros((len(picks), width))
+    for row, pick in enumerate(picks):
+        padded[row, : len(tuples[pick])] = tuples[pick]
+    return padded
+
+
+def _assert_rows_match_single_row_calls(padded, t):
+    hypoexp_module._MATRIX_CDF_CACHE.clear()
+    batch = hypoexponential_cdf_batch(padded, t)
+    for row, value in zip(padded, batch):
+        # Clear the expm memo so the single row is evaluated afresh.
+        hypoexp_module._MATRIX_CDF_CACHE.clear()
+        alone = hypoexponential_cdf_batch(row[None, :], t)[0]
+        assert float(alone).hex() == float(value).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(padded=padded_batches(), t=st.floats(min_value=0.0, max_value=100.0))
+def test_batch_rows_equal_single_row_calls_bitwise(padded, t):
+    _assert_rows_match_single_row_calls(padded, t)
+
+
+def test_row_independence_covers_dedup_fallback_and_wide_rows():
+    """A fixed batch on all three risky paths at once: >= _DEDUP_MIN_ROWS
+    rows with duplicates, rows with exactly repeated rates (expm
+    fallback), and a width past numpy's 8-wide pairwise-sum unrolling."""
+    rng = np.random.default_rng(7)
+    width = 12
+    vocabulary = np.array([0.05, 0.1, 0.25, 0.5, 1.0, 2.0])
+    tuples = []
+    for _ in range(20):
+        length = int(rng.integers(1, width + 1))
+        tuples.append(rng.choice(vocabulary, size=length))
+    tuples.append(np.full(width, 0.25))  # full width, all rates equal
+    tuples.append(np.linspace(0.1, 2.0, width))  # full width, distinct
+    picks = list(range(len(tuples))) + list(rng.integers(0, len(tuples), size=60))
+    padded = np.zeros((len(picks), width))
+    for row, pick in enumerate(picks):
+        padded[row, : len(tuples[pick])] = tuples[pick]
+    assert len(padded) >= hypoexp_module._DEDUP_MIN_ROWS
+    assert len(np.unique(padded, axis=0)) < len(padded)
+    hypoexp_module._MATRIX_CDF_CACHE.clear()
+    hypoexponential_cdf_batch(padded, 3.0)
+    assert hypoexp_module._MATRIX_CDF_CACHE  # some rows took the fallback
+    _assert_rows_match_single_row_calls(padded, 3.0)
 
 
 def _random_graph(num_nodes: int, edge_probability: float, seed: int) -> ContactGraph:

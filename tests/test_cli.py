@@ -52,6 +52,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "nocache" in out and "ratio=" in out
 
+    def test_simulate_without_queries_prints_no_ratio(self, capsys):
+        # A trace window too short for any query round: no ratio to report.
+        args = ["simulate", "--trace", "infocom05", "--node-factor", "0.3"]
+        assert main([*args, "--time-factor", "0.01", "--scheme", "nocache"]) == 0
+        out = capsys.readouterr().out
+        assert "queries=0" in out
+        assert "ratio=   n/a" in out and "ratio= 0.000" not in out
+
     def test_fit(self, capsys):
         assert main(["fit", "--trace", "infocom05", *FAST_TRACE]) == 0
         out = capsys.readouterr().out
