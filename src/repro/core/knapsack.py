@@ -28,10 +28,8 @@ solver's determinism contract).  What remains unrepaired is bounded:
 combining one oversize item with sub-resolution leftovers can be missed,
 costing at most the value packable into one resolution unit.
 
-The DP table fill is the registered ``knapsack_dp`` kernel: the pure
-Python loop in :func:`_reference_knapsack_dp` is the oracle, and the
-numba backend runs the same strict-improvement recurrence compiled —
-identical additions and comparisons, hence bitwise-identical keep tables.
+The DP table fill is :func:`_knapsack_keep`, a pure-Python 1-D
+strict-improvement recurrence; ties resolve toward earlier items.
 """
 
 from __future__ import annotations
@@ -40,10 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import KnapsackError
-from repro.kernels.registry import kernel_override
 
 __all__ = ["KnapsackItem", "KnapsackSolution", "KnapsackPool", "solve_knapsack"]
 
@@ -86,10 +81,10 @@ def _resolution_for(capacity: int, max_capacity_units: int) -> int:
     return math.ceil(capacity / max_capacity_units)
 
 
-def _reference_knapsack_dp(
+def _knapsack_keep(
     values: Sequence[float], sizes: Sequence[int], cap_units: int
 ) -> List[List[bool]]:
-    """Pure-Python 1-D 0/1 knapsack fill — the ``knapsack_dp`` oracle.
+    """1-D 0/1 knapsack table fill (Eq. 7).
 
     Returns the keep table (``keep[i][w]`` = item *i* taken at capacity
     *w*); ties resolve toward earlier items via the strict ``>``.
@@ -107,23 +102,6 @@ def _reference_knapsack_dp(
                 keep_row[w] = True
         keep.append(keep_row)
     return keep
-
-
-def _knapsack_keep(values: List[float], sizes: List[int], cap_units: int):
-    """Dispatch point of the ``knapsack_dp`` kernel.
-
-    Returns either the python list-of-lists table or the compiled
-    backend's boolean array — the traceback only indexes ``keep[i][w]``,
-    which both support with identical contents.
-    """
-    override = kernel_override("knapsack_dp")
-    if override is not None:
-        return override(
-            np.asarray(values, dtype=float),
-            np.asarray(sizes, dtype=np.int64),
-            cap_units,
-        )
-    return _reference_knapsack_dp(values, sizes, cap_units)
 
 
 def _solve(
@@ -230,10 +208,9 @@ class KnapsackPool:
     overlapping item sets and shrinking capacities, and the simulator
     may run several exchanges in one tick.  A pool memoises every item
     size's quantisation per resolution, so each pool member is rounded
-    once per resolution instead of once per solve; on the numba backend
-    the compiled DP additionally reuses one keep-table scratch across
-    solves.  Results are those of :func:`solve_knapsack` call-for-call
-    (same code path), so batching is bitwise-invisible.
+    once per resolution instead of once per solve.  Results are those of
+    :func:`solve_knapsack` call-for-call (same code path), so batching
+    is bitwise-invisible.
     """
 
     def __init__(self, max_capacity_units: int = 4096):

@@ -26,8 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.contact_graph import ContactGraph
-from repro.graph.paths import PathMode, _reference_shortest_path_weights_from
-from repro.graph.sparse import _reference_knn_weight_rows
+from repro.graph.paths import PathMode
 from repro.graph.weight_cache import shared_weight_cache
 from repro.mathutils.hypoexponential import hypoexponential_cdf_batch, pad_rate_rows
 
@@ -36,8 +35,6 @@ __all__ = [
     "ncl_metric",
     "ncl_metrics",
     "sparse_ncl_metrics",
-    "_reference_ncl_metrics",
-    "_reference_sparse_ncl_metrics",
     "select_ncls",
     "select_ncls_by",
     "calibrate_time_budget",
@@ -77,15 +74,8 @@ def ncl_metrics(
 
     Dense graphs run through the vectorized all-pairs weight matrix (one
     scipy Dijkstra + one batched Eq. 2 evaluation, cached per graph
-    content); :func:`_reference_ncl_metrics` is the retained pure-Python
-    oracle.  Sparse graphs — or any graph when *knn_k* is given — route
+    content).  Sparse graphs — or any graph when *knn_k* is given — route
     to :func:`sparse_ncl_metrics`, which never allocates N×N.
-
-    Registered as the *derived* kernel ``ncl_metrics``: its hot loop is
-    the ``weight_matrix`` kernel (compiled under the numba backend),
-    while the row reduction below deliberately stays in shared numpy
-    code on every backend — ``np.sum`` accumulates pairwise, which a
-    sequential compiled loop cannot reproduce bitwise.
     """
     if graph.num_nodes < 2:
         raise ConfigurationError("NCL metric needs at least two nodes")
@@ -107,47 +97,13 @@ def sparse_ncl_metrics(
 
     A lower bound on :func:`ncl_metrics` that converges monotonically as
     *k* grows (truncation only drops non-negative terms) and matches the
-    full metric to oracle tolerance once ``k >= N-1``.  Registered as
-    the *derived* kernel ``sparse_ncl_metrics``: its hot loop is the
-    ``knn_weight_rows`` kernel; the row-sum reduction stays in shared
-    sequential ``np.bincount`` code on every backend.
+    full metric to oracle tolerance once ``k >= N-1``.  The row sums
+    accumulate sequentially (``np.bincount``).
     """
     if graph.num_nodes < 2:
         raise ConfigurationError("NCL metric needs at least two nodes")
     rows = shared_weight_cache().knn_rows(graph, time_budget, k, mode)
     return rows.row_sums() / (graph.num_nodes - 1)
-
-
-def _reference_sparse_ncl_metrics(
-    graph: ContactGraph,
-    time_budget: float,
-    k: int = DEFAULT_KNN_K,
-) -> np.ndarray:
-    """Dense pure-python oracle for :func:`sparse_ncl_metrics`: row means
-    of the dense :func:`_reference_knn_weight_rows` matrix (full
-    reference Dijkstra per source, truncated afterwards).  Property
-    tests pin the sparse kernel path to this at 1e-9."""
-    if graph.num_nodes < 2:
-        raise ConfigurationError("NCL metric needs at least two nodes")
-    dense = _reference_knn_weight_rows(graph, time_budget, k)
-    return (dense.sum(axis=1) - np.diag(dense)) / (graph.num_nodes - 1)
-
-
-def _reference_ncl_metrics(
-    graph: ContactGraph,
-    time_budget: float,
-    mode: PathMode = PathMode.EXPECTED_DELAY,
-) -> np.ndarray:
-    """Pure-Python oracle for :func:`ncl_metrics` (N independent Dijkstras
-    with per-path scalar Eq. 2 evaluation); property tests and the kernel
-    benchmarks assert agreement with the vectorized path to 1e-9."""
-    if graph.num_nodes < 2:
-        raise ConfigurationError("NCL metric needs at least two nodes")
-    metrics = np.zeros(graph.num_nodes)
-    for node in range(graph.num_nodes):
-        weights = _reference_shortest_path_weights_from(graph, node, time_budget, mode)
-        metrics[node] = (weights.sum() - weights[node]) / (graph.num_nodes - 1)
-    return metrics
 
 
 @dataclass(frozen=True)

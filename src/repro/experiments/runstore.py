@@ -175,16 +175,19 @@ def _kv_table(pairs: List[tuple]) -> List[str]:
 
 def _aggregate_section(result: Dict[str, Any]) -> List[str]:
     aggregate = result["aggregate"]
+    # A run that issued no queries has no success ratio to report.
+    ratio = (
+        f"{aggregate['successful_ratio']:.4f} "
+        f"± {aggregate['successful_ratio_ci']:.4f}"
+        if aggregate["queries_issued"]
+        else "n/a"
+    )
     lines = ["## Metrics", ""]
     lines += _kv_table(
         [
             ("scheme", aggregate["name"]),
             ("runs", aggregate["runs"]),
-            (
-                "successful ratio",
-                f"{aggregate['successful_ratio']:.4f} "
-                f"± {aggregate['successful_ratio_ci']:.4f}",
-            ),
+            ("successful ratio", ratio),
             (
                 "mean access delay (h)",
                 _fmt(aggregate["mean_access_delay"] / 3600.0)
@@ -210,10 +213,13 @@ def _aggregate_section(result: Dict[str, Any]) -> List[str]:
         for row in rows:
             delay = row["mean_access_delay"]
             delay_h = "n/a" if math.isnan(delay) else f"{delay / 3600.0:.2f}"
+            row_ratio = (
+                f"{row['successful_ratio']:.4f}" if row["queries_issued"] else "n/a"
+            )
             lines.append(
                 f"| {row['seed']} | {row['queries_issued']} "
                 f"| {row['queries_satisfied']} "
-                f"| {row['successful_ratio']:.4f} | {delay_h} |"
+                f"| {row_ratio} | {delay_h} |"
             )
     return lines
 

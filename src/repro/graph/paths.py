@@ -33,7 +33,6 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.errors import PathError
 from repro.graph.contact_graph import ContactGraph
-from repro.kernels.registry import kernel_override
 from repro.mathutils.hypoexponential import (
     hypoexponential_cdf_batch,
     path_delivery_probability,
@@ -213,8 +212,9 @@ def shortest_path(
 # the 1/λ cost matrix, so the whole sweep — including the all-pairs case
 # the NCL metric needs — runs through scipy's C Dijkstra.  Hop-rate
 # tuples are recovered from the predecessor matrix and scored in one
-# batched Eq. (2) evaluation.  The pure-Python implementations above are
-# retained as ``_reference_*`` oracles (property-tested to 1e-9).
+# batched Eq. (2) evaluation.  The pure-Python label-setting search above
+# serves max-probability mode; property tests pin these kernels to it
+# at 1e-9.
 
 
 def _expected_delay_dijkstra(
@@ -411,7 +411,7 @@ def _shortest_path_weights_from(
     mode: PathMode,
 ) -> np.ndarray:
     if mode is not PathMode.EXPECTED_DELAY:
-        return _reference_shortest_path_weights_from(graph, source, time_budget, mode)
+        return _path_weights_by_search(graph, source, time_budget, mode)
     tuples = hop_rate_tuples_from(graph, source, time_budget, mode)
     weights = np.zeros(graph.num_nodes)
     nodes = list(tuples)
@@ -468,11 +468,8 @@ def _expected_delay_weight_matrix(
     rates = graph.rate_matrix()
     # Rates are symmetric and Eq. (2) is invariant under hop reordering,
     # so p_ij = p_ji: only the upper triangle of reachable pairs is
-    # evaluated.  The Dijkstra pass itself stays in scipy's C
-    # implementation on every backend — its tie-breaking between
-    # equal-cost trees picks the rate multisets that define the result —
-    # and only the hop-slot extraction below is the dispatchable
-    # ``weight_matrix`` kernel.
+    # evaluated.  scipy's tie-breaking between equal-cost trees picks
+    # the rate multisets that define the result.
     ii, jj = np.triu_indices(n, k=1)
     reachable = np.isfinite(dist[ii, jj])
     ii, jj = ii[reachable], jj[reachable]
@@ -516,8 +513,7 @@ def _pair_weights_from_tree(
 def _hop_slot_matrix(
     rates: np.ndarray, pred: np.ndarray, ii: np.ndarray, jj: np.ndarray
 ) -> np.ndarray:
-    """Padded per-pair hop-rate matrix from the predecessor matrix — the
-    registered ``weight_matrix`` kernel.
+    """Padded per-pair hop-rate matrix from the predecessor matrix.
 
     Hop rates are pulled out of the predecessor matrix one hop *slot* at
     a time (walking destination → source) across all pairs
@@ -527,13 +523,8 @@ def _hop_slot_matrix(
     the closed form's separation threshold its coefficients are large
     and cancelling, and summation order moves the result at the 1e-8
     level — so rows are kept in the same hop order the scalar oracle
-    evaluates.  A compiled backend walks each pair instead; both fill
-    the same slots with the same rate-matrix entries, so the outputs
-    are bitwise identical.
+    evaluates.
     """
-    override = kernel_override("weight_matrix")
-    if override is not None:
-        return override(rates, pred, ii, jj)
     columns: List[np.ndarray] = []
     cur = jj.copy()
     active = cur != ii
@@ -548,33 +539,17 @@ def _hop_slot_matrix(
     return np.column_stack(columns) if columns else np.zeros((len(ii), 1))
 
 
-def _reference_weight_matrix(
-    graph: ContactGraph,
-    time_budget: float,
-    mode: PathMode = PathMode.EXPECTED_DELAY,
-) -> np.ndarray:
-    """Pure-Python oracle for :func:`shortest_path_weight_matrix`: one
-    reference single-source sweep per row.  The registered
-    ``weight_matrix`` kernel is pinned to this to 1e-9 on random graphs;
-    the python and numba backends are pinned to each other bitwise."""
-    return np.vstack(
-        [
-            _reference_shortest_path_weights_from(graph, s, time_budget, mode)
-            for s in range(graph.num_nodes)
-        ]
-    )
-
-
-def _reference_shortest_path_weights_from(
+def _path_weights_by_search(
     graph: ContactGraph,
     source: int,
     time_budget: float,
     mode: PathMode = PathMode.EXPECTED_DELAY,
 ) -> np.ndarray:
-    """Pure-Python oracle for :func:`shortest_path_weights_from`.
+    """Path weights scored from the pure-Python label-setting search.
 
-    Kept as the correctness reference for the vectorized kernel
-    (property tests assert agreement to 1e-9 on random graphs).
+    The only implementation of max-probability mode; in expected-delay
+    mode it is the scalar twin of the vectorized sweep (property tests
+    assert agreement to 1e-9 on random graphs).
     """
     weights = np.zeros(graph.num_nodes)
     for node, path in shortest_paths_from(graph, source, time_budget, mode).items():

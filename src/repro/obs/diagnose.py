@@ -68,6 +68,9 @@ def run_diagnosis(
         events, causality, contact_trace=contact_trace, thresholds=thresholds
     )
     warnings = [f"consistency: {m}" for m in consistency] + list(fidelity.warnings)
+    if not any(query.created_seen for query in causality.queries.values()):
+        # An empty measurement must be loud: no ratio or delay exists.
+        warnings.insert(0, "no queries issued: the trace measures no success ratio")
     return Diagnosis(
         num_events=len(events),
         causality=causality,

@@ -1,10 +1,14 @@
 """Unit tests for the benchmark regression guard's comparison logic."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.benchguard import (
+    DEFAULT_BASELINE,
+    DEFAULT_BENCHMARK_FILE,
     HEALTH_OVERHEAD_THRESHOLD,
     MEMORY_FOOTPRINT_THRESHOLD,
     MEMORY_OVERHEAD_THRESHOLD,
@@ -218,12 +222,31 @@ class TestMemoryFootprint:
         rows = check_memory_footprint({"fresh": {"peak_rss_mb": 9999.0}}, {})
         assert rows == [("fresh", 9999.0, None, False)]
 
-    def test_parametrised_name_falls_back_to_base_baseline(self):
+    def test_baseline_lookup_is_by_exact_name(self):
         rows = check_memory_footprint(
-            {"e2e[numba]": {"peak_rss_mb": 1500.0}},
+            {"e2e": {"peak_rss_mb": 1500.0}, "e2e_n200": {"peak_rss_mb": 1500.0}},
             {"e2e": {"peak_rss_mb": 1000.0}},
         )
-        assert rows == [("e2e[numba]", 1500.0, 1000.0, True)]
+        assert rows == [
+            ("e2e", 1500.0, 1000.0, True),
+            ("e2e_n200", 1500.0, None, False),
+        ]
 
     def test_memory_twin_cap_matches_other_instruments(self):
         assert MEMORY_OVERHEAD_THRESHOLD == 1.05
+
+
+class TestKernelBaseline:
+    def test_every_kernel_bench_has_a_baseline_entry(self):
+        # The guard matches names exactly, so a bench missing from the
+        # baseline would report NEW and go ungated.
+        root = Path(__file__).resolve().parents[2]
+        tree = ast.parse((root / DEFAULT_BENCHMARK_FILE).read_text())
+        benches = {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_bench_")
+        }
+        baseline = json.loads((root / DEFAULT_BASELINE).read_text())["benchmarks"]
+        assert benches
+        assert sorted(benches - set(baseline)) == []

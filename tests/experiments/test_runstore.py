@@ -77,6 +77,33 @@ class TestRenderReport:
         assert experiment.manifest["config_hash"] in report
         # mean ± 95% CI rendering of the aggregate
         assert "±" in report
+        # a seed that issued queries keeps its ratio
+        assert experiment.results[0].queries_issued > 0
+        assert f"| {experiment.results[0].successful_ratio:.4f} |" in report
+
+    def test_zero_query_seeds_report_no_ratio(self, experiment, tmp_path):
+        import json
+        import os
+
+        from repro.experiments.runstore import RESULT_FILE
+
+        run_dir = str(tmp_path / "run")
+        save_run(experiment, run_dir)
+        path = os.path.join(run_dir, RESULT_FILE)
+        with open(path, encoding="utf-8") as handle:
+            result = json.load(handle)
+        for row in result["results"]:
+            row.update(queries_issued=0, queries_satisfied=0, successful_ratio=0.0)
+        result["aggregate"].update(
+            queries_issued=0.0, successful_ratio=0.0, successful_ratio_ci=0.0
+        )
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(result, handle)
+        metrics = render_run_report(run_dir).split("## Metrics")[1].split("\n## ")[0]
+        assert "| successful ratio | n/a |" in metrics
+        seed_rows = [line for line in metrics.splitlines() if line.startswith("| 1 | 0 |")]
+        assert seed_rows and "| n/a |" in seed_rows[0]
+        assert "0.0000" not in metrics
 
     def test_health_log_renders_live_health_section(self, experiment, tmp_path):
         from pathlib import Path

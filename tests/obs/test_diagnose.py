@@ -14,8 +14,9 @@ import pytest
 
 from repro.__main__ import main
 from repro.caching import IntentionalCaching, IntentionalConfig
-from repro.obs import MemoryRecorder, run_diagnosis
+from repro.obs import JsonlRecorder, MemoryRecorder, run_diagnosis
 from repro.obs.diagnose import diagnosis_to_dict, render_diagnosis
+from repro.obs.recorder import read_events
 from repro.sim.simulator import Simulator, SimulatorConfig
 from repro.traces.contact import Contact, ContactTrace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
@@ -123,6 +124,41 @@ class TestRunDiagnosis:
         assert record["fidelity"]["delivery"]["samples"] > 0
         assert record["fidelity"]["thresholds"]["max_median_ks"] == 0.25
         assert record["warnings"] == []
+
+
+class TestZeroQueryTrace:
+    def test_warns_and_strict_exits_nonzero(self, capsys, tmp_path):
+        # The first query round falls at T_L/2, past the end of the trace.
+        trace = generate_synthetic_trace(
+            SyntheticTraceConfig(
+                name="diagnose-no-queries",
+                num_nodes=8,
+                duration=2 * DAY,
+                total_contacts=800,
+                granularity=60.0,
+                seed=4,
+            )
+        )
+        workload = WorkloadConfig(
+            mean_data_lifetime=10 * trace.duration, mean_data_size=30 * MEGABIT
+        )
+        path = tmp_path / "trace.jsonl"
+        recorder = JsonlRecorder(path)
+        Simulator(
+            trace,
+            IntentionalCaching(IntentionalConfig(num_ncls=2, ncl_time_budget=2 * HOUR)),
+            workload,
+            SimulatorConfig(seed=3),
+            recorder=recorder,
+        ).run()
+        recorder.close()
+        diagnosis = run_diagnosis(read_events(path), contact_trace=trace)
+        assert diagnosis.summary["queries"] == 0
+        assert diagnosis.warnings[0].startswith("no queries issued")
+        assert main(["diagnose", str(path), "--strict"]) == 1
+        captured = capsys.readouterr()
+        assert "WARN: no queries issued" in captured.out
+        assert "strict mode:" in captured.err
 
 
 class TestDiagnoseCLI:

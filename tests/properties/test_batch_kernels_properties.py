@@ -11,10 +11,10 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.core.ncl import _reference_ncl_metrics, ncl_metrics
+from repro.core.ncl import ncl_metrics
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import (
-    _reference_shortest_path_weights_from,
+    _path_weights_by_search,
     shortest_path_weight_matrix,
     shortest_path_weights_from,
 )
@@ -24,6 +24,7 @@ from repro.mathutils.hypoexponential import (
     hypoexponential_cdf_batch,
     pad_rate_rows,
 )
+from tests.oracles import _reference_ncl_metrics
 
 rate_row = st.lists(
     st.floats(min_value=1e-5, max_value=10.0, allow_nan=False, allow_infinity=False),
@@ -195,7 +196,7 @@ def test_scipy_weight_vector_matches_reference(num_nodes, edge_probability, seed
     graph = _random_graph(num_nodes, edge_probability, seed)
     source = seed % num_nodes
     fast = shortest_path_weights_from(graph, source, budget)
-    reference = _reference_shortest_path_weights_from(graph, source, budget)
+    reference = _path_weights_by_search(graph, source, budget)
     np.testing.assert_allclose(fast, reference, atol=1e-9, rtol=0)
 
 
@@ -216,7 +217,7 @@ def test_weight_matrix_rows_are_single_source_sweeps(num_nodes, edge_probability
         # (see the tolerance note on the NCL oracle test above).
         np.testing.assert_allclose(
             matrix[source],
-            _reference_shortest_path_weights_from(graph, source, budget),
+            _path_weights_by_search(graph, source, budget),
             atol=1e-7,
             rtol=0,
         )

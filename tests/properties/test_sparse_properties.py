@@ -24,29 +24,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
-from repro.core.ncl import (
-    _reference_sparse_ncl_metrics,
-    ncl_metrics,
-    sparse_ncl_metrics,
-)
+from repro.core.ncl import ncl_metrics, sparse_ncl_metrics
 from repro.graph import incremental
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import shortest_path_weight_matrix
-from repro.graph.sparse import (
-    _reference_knn_weight_rows,
-    knn_weight_matrix,
-    knn_weight_rows,
-)
+from repro.graph.sparse import knn_weight_matrix, knn_weight_rows
 from repro.graph.weight_cache import shared_weight_cache
 from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.units import DAY, HOUR, WEEK
 from repro.workload.config import WorkloadConfig
-
-requires_numba = pytest.mark.skipif(
-    "numba" not in kernels.available_backend_names(),
-    reason="numba not installed (optional extra)",
-)
+from tests.oracles import _reference_knn_weight_rows, _reference_sparse_ncl_metrics
 
 
 def _graph(seed=2, num_nodes=16, contacts_per_node=60, sparse=None):
@@ -282,21 +269,3 @@ def test_sparse_serial_matches_workers():
     _assert_same_fields(serial.aggregate, parallel.aggregate)
     for a, b in zip(serial.results, parallel.results):
         _assert_same_fields(a, b)
-
-
-# --- numba backend: bitwise agreement on the sparse kernel -----------------
-
-
-@requires_numba
-@pytest.mark.parametrize("contacts_per_node", [6, 60])
-@pytest.mark.parametrize("k", [2, 8])
-def test_numba_knn_rows_bitwise(contacts_per_node, k):
-    graph = _graph(seed=11, contacts_per_node=contacts_per_node)
-    with kernels.use_backend("python"):
-        python_rows = knn_weight_rows(graph, 1 * WEEK, k)
-    with kernels.use_backend("numba"):
-        kernels.warmup()
-        numba_rows = knn_weight_rows(graph, 1 * WEEK, k)
-    assert np.array_equal(python_rows.indptr, numba_rows.indptr)
-    assert np.array_equal(python_rows.indices, numba_rows.indices)
-    assert np.array_equal(python_rows.weights, numba_rows.weights)
