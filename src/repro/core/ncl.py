@@ -84,7 +84,13 @@ def ncl_metrics(
             graph, time_budget, knn_k or DEFAULT_KNN_K, mode
         )
     weights = shared_weight_cache().weight_matrix(graph, time_budget, mode)
-    return (weights.sum(axis=1) - np.diag(weights)) / (graph.num_nodes - 1)
+    # Sum the off-diagonal weights only: adding the self weight (1.0) and
+    # subtracting it again rounds the small path weights to the spacing
+    # of 1.0, so nodes with the same weights to every other node could
+    # differ in the last bits and lose their tie-break by node id.
+    off_diagonal = weights.copy()
+    np.fill_diagonal(off_diagonal, 0.0)
+    return off_diagonal.sum(axis=1) / (graph.num_nodes - 1)
 
 
 def sparse_ncl_metrics(

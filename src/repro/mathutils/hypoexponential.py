@@ -16,22 +16,32 @@ data traverses the path within time T:
 
 The closed form requires pairwise-distinct rates and is numerically
 catastrophic when rates nearly coincide (the coefficients blow up with
-alternating signs).  Real contact traces produce many near-equal rates, so
-this module provides a robust evaluation strategy:
+alternating signs).  Real contact traces produce many equal or near-equal
+rates, so this module provides a robust evaluation strategy:
 
 * distinct, well-separated rates → the closed form (fast path);
-* repeated or clustered rates → the matrix-exponential formulation.  A
+* exactly repeated rates whose distinct values are well separated → the
+  closed form of a hypoexponential with rate multiplicities.  With
+  distinct rates μᵢ of multiplicity mᵢ the Laplace transform
+  Πᵢ (μᵢ/(μᵢ+s))^{mᵢ} expands into partial fractions over Erlang
+  laws, so ``CDF(t) = Σᵢ Σ_{j≤mᵢ} b_{i,mᵢ−j} P(j, μᵢ t)`` with ``P`` the
+  regularised lower incomplete gamma function; the coefficients come
+  from a log-derivative recurrence (:func:`_repeated_rate_cdf`);
+* clustered rates, or a repeated-rate row whose signed sum fails its
+  rounding gate → the matrix-exponential formulation.  A
   hypoexponential is a phase-type distribution whose generator is the
   bidiagonal matrix with −λₖ on the diagonal and λₖ on the superdiagonal;
   ``CDF(t) = 1 − [exp(Q t) · 1]₀`` evaluated with :func:`scipy.linalg.expm`.
 
-Both agree to ~1e-10 on well-separated inputs (covered by property tests).
+The scalar :func:`hypoexponential_cdf` uses only the first and last of
+these and is the oracle the batch kernel is pinned to: all agree to
+~1e-10 (covered by property tests).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm
@@ -49,6 +59,8 @@ _DISTINCT_RTOL = 1e-6
 
 #: Batch size from which duplicate-row collapsing pays for its sort.
 _DEDUP_MIN_ROWS = 64
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _validate_rates(rates: Sequence[float]) -> List[float]:
@@ -127,14 +139,114 @@ def _matrix_cdf(rates: Sequence[float], t: float) -> float:
     return float(1.0 - survival)
 
 
-#: Cross-batch memo for the expm fallback.  Trace-quantised rates repeat
-#: the same hop tuples across every per-source sweep of a run, and expm
-#: costs ~200µs per matrix even stacked (scipy iterates per matrix), so
-#: remembering (tuple, t) → CDF turns the steady state into dict hits.
-#: Bounded by wholesale reset — the workload is a small recurring
-#: vocabulary, so an LRU's bookkeeping would cost more than it saves.
-_MATRIX_CDF_CACHE: dict = {}
-_MATRIX_CDF_CACHE_MAX = 1 << 18
+#: Rounding budget of the repeated-rate closed form: its value is kept
+#: only when ε · Σ|terms| stays below this (see :func:`_repeated_rate_cdf`).
+_ROUNDING_BUDGET = 1e-12
+
+
+def _erlang_cdfs(order: int, x: float) -> List[float]:
+    """``[P(1, x), …, P(order, x)]``: Erlang CDFs at rate-scaled time *x*.
+
+    ``P(j, x)`` is the regularised lower incomplete gamma function at
+    integer order, each value to a few ulps *relative*.  The top order
+    comes from its power series below the mode (x < order) and from
+    ``1 − e^{−x} Σ_{k<order} x^k/k!`` above it, where the subtracted sum
+    is at most about one half; lower orders follow by adding the
+    positive Poisson terms, ``P(j, x) = P(j+1, x) + e^{−x} x^j/j!``.
+    """
+    poisson = [math.exp(-x)]  # e^{−x} x^k / k!
+    for k in range(1, order + 1):
+        poisson.append(poisson[-1] * x / k)
+    if x < order:
+        total = term = 1.0
+        denominator = order
+        while term > _EPS * total:
+            denominator += 1
+            term *= x / denominator
+            total += term
+        top = poisson[order] * total
+    else:
+        top = 1.0 - math.fsum(poisson[:order])
+    cdfs = [top]
+    for j in range(order - 1, 0, -1):
+        cdfs.append(cdfs[-1] + poisson[j])
+    cdfs.reverse()
+    return cdfs
+
+
+def _repeated_rate_cdf(rates: Sequence[float], t: float) -> Optional[float]:
+    """Exact CDF of a hypoexponential whose rates repeat exactly.
+
+    With distinct rates μᵢ of multiplicity mᵢ, near ``s = −μᵢ`` the
+    Laplace transform is ``(μᵢ/x)^{mᵢ} gᵢ(x)`` with ``x = μᵢ + s`` and
+    ``gᵢ(x) = Π_{l≠i} (μ_l/(μ_l − μᵢ + x))^{m_l}``.  Writing the Taylor
+    coefficients of gᵢ as ``bₙ μᵢ^{−n}``, the partial-fraction weight of
+    the Erlang(j, μᵢ) law is ``b_{mᵢ−j}``, so
+
+        F(t) = Σᵢ Σ_{j=1..mᵢ} b_{mᵢ−j} P(j, μᵢ t).
+
+    ``b₀ = Π_{l≠i} (μ_l/(μ_l − μᵢ))^{m_l}`` and the log-derivative of gᵢ
+    gives ``bₙ = (1/n) Σ_{k=1..n} q_k b_{n−k}`` with the power sums
+    ``q_k = Σ_{l≠i} m_l (μᵢ/(μᵢ − μ_l))^k``.  With every mᵢ = 1 this is
+    Eq. (2) term for term.
+
+    Rounding gate: the same recurrence run on |q_k| and |b₀| bounds every
+    |bₙ|, and the error of each computed term is a small multiple of ε
+    times its bounded magnitude (:func:`_erlang_cdfs` is relatively
+    accurate), so ε · Σ|terms| estimates the rounding error of the signed
+    sum.  The value is returned only when that stays below
+    :data:`_ROUNDING_BUDGET` — a hundredth of the 1e-10 the batch kernel
+    promises — and the sum lies in the unit interval; otherwise (and for
+    clustered distinct rates, or coefficients past the float range)
+    ``None`` sends the row to the matrix exponential.
+    """
+    counts: dict = {}
+    for rate in rates:
+        counts[rate] = counts.get(rate, 0) + 1
+    distinct = sorted(counts)
+    if not _rates_well_separated(distinct):
+        return None
+    try:
+        value, magnitude = _repeated_rate_sums(distinct, counts, t)
+    except (OverflowError, ValueError):  # a power or fsum past the float range
+        return None
+    if magnitude * _EPS > _ROUNDING_BUDGET or not -1e-9 <= value <= 1.0 + 1e-9:
+        return None
+    return min(1.0, max(0.0, value))
+
+
+def _repeated_rate_sums(distinct: List[float], counts: dict, t: float):
+    """``(Σ terms, Σ |terms| bound)`` of :func:`_repeated_rate_cdf`."""
+    terms: List[float] = []
+    magnitudes: List[float] = []
+    for mu in distinct:
+        multiplicity = counts[mu]
+        lead = 1.0
+        ratios = []
+        for lam in distinct:
+            if lam != mu:
+                lead *= (lam / (lam - mu)) ** counts[lam]
+                ratios.append((mu / (mu - lam), counts[lam]))
+        power = [0.0] * multiplicity
+        power_abs = [0.0] * multiplicity
+        for k in range(1, multiplicity):
+            for ratio, count in ratios:
+                term = count * ratio**k
+                power[k] += term
+                power_abs[k] += abs(term)
+        b = [lead]
+        b_abs = [abs(lead)]
+        for n in range(1, multiplicity):
+            acc = acc_abs = 0.0
+            for k in range(1, n + 1):
+                acc += power[k] * b[n - k]
+                acc_abs += power_abs[k] * b_abs[n - k]
+            b.append(acc / n)
+            b_abs.append(acc_abs / n)
+        for j, cdf in enumerate(_erlang_cdfs(multiplicity, mu * t), start=1):
+            terms.append(b[multiplicity - j] * cdf)
+            magnitudes.append(b_abs[multiplicity - j] * cdf)
+    return math.fsum(terms), math.fsum(magnitudes)
 
 
 def _matrix_cdf_batch(rate_lists: Sequence[List[float]], times: np.ndarray) -> np.ndarray:
@@ -144,33 +256,57 @@ def _matrix_cdf_batch(rate_lists: Sequence[List[float]], times: np.ndarray) -> n
     :func:`scipy.linalg.expm` call (scipy applies the same scaling-and-
     squaring per matrix, so values are identical to the scalar path).
     Rates are pre-clustered exactly like :func:`hypoexponential_cdf`.
-    Results are memoised per (rate tuple, t) across calls.
     """
     out = np.zeros(len(rate_lists))
     by_length: dict = {}
     for index, rates in enumerate(rate_lists):
-        key = (tuple(rates), float(times[index]))
-        cached = _MATRIX_CDF_CACHE.get(key)
-        if cached is not None:
-            out[index] = cached
-        else:
-            by_length.setdefault(len(rates), []).append(index)
-    if len(_MATRIX_CDF_CACHE) > _MATRIX_CDF_CACHE_MAX:
-        _MATRIX_CDF_CACHE.clear()
+        by_length.setdefault(len(rates), []).append(index)
     for length, indices in by_length.items():
-        if length == 1:
-            for i in indices:
-                out[i] = 1.0 - math.exp(-rate_lists[i][0] * times[i])
-                _MATRIX_CDF_CACHE[(tuple(rate_lists[i]), float(times[i]))] = out[i]
-            continue
         stacked = np.zeros((len(indices), length, length))
         for row, i in enumerate(indices):
-            clustered = _cluster_rates(rate_lists[i])
-            stacked[row] = _generator_matrix(clustered) * times[i]
+            stacked[row] = _generator_matrix(_cluster_rates(rate_lists[i])) * times[i]
         survival = expm(stacked)[:, 0, :].sum(axis=1)
         out[indices] = np.clip(1.0 - survival, 0.0, 1.0)
-        for i in indices:
-            _MATRIX_CDF_CACHE[(tuple(rate_lists[i]), float(times[i]))] = out[i]
+    return out
+
+
+#: Cross-batch per-row memo for the rows the vectorised Eq. (2) sweep
+#: cannot take.  Trace-quantised rates repeat the same hop tuples across
+#: every per-source sweep of a run, and even the repeated-rate closed form
+#: costs ~35µs per row in Python (expm ~290µs), so remembering
+#: (tuple, t) → CDF turns the steady state into dict hits.  Bounded by
+#: wholesale reset — the workload is a small recurring vocabulary, so an
+#: LRU's bookkeeping would cost more than it saves.
+_ROW_CDF_CACHE: dict = {}
+_ROW_CDF_CACHE_MAX = 1 << 18
+
+
+def _row_cdf_batch(rate_lists: Sequence[List[float]], times: np.ndarray) -> np.ndarray:
+    """CDF of rows outside the vectorised sweep, each evaluated on its own.
+
+    Rows with an exactly repeated rate try :func:`_repeated_rate_cdf`;
+    the rest, and the rows its gate rejects, take the matrix exponential.
+    Results are memoised per (rate tuple, t) in ``_ROW_CDF_CACHE``.
+    """
+    out = np.zeros(len(rate_lists))
+    if len(_ROW_CDF_CACHE) > _ROW_CDF_CACHE_MAX:
+        _ROW_CDF_CACHE.clear()
+    pending: List[int] = []
+    for index, rates in enumerate(rate_lists):
+        key = (tuple(rates), float(times[index]))
+        value = _ROW_CDF_CACHE.get(key)
+        if value is None and len(set(rates)) < len(rates):
+            value = _repeated_rate_cdf(rates, key[1])
+            if value is not None:
+                _ROW_CDF_CACHE[key] = value
+        if value is None:
+            pending.append(index)
+        else:
+            out[index] = value
+    if pending:
+        out[pending] = _matrix_cdf_batch([rate_lists[i] for i in pending], times[pending])
+        for i in pending:
+            _ROW_CDF_CACHE[(tuple(rate_lists[i]), float(times[i]))] = out[i]
     return out
 
 
@@ -225,9 +361,9 @@ def _batch_rows_well_separated(rates: np.ndarray, valid: np.ndarray) -> np.ndarr
     return np.where(pair_valid, gap_ok, True).all(axis=1)
 
 
-def _closed_form_coeff_batch(rates: np.ndarray, mask: np.ndarray):
-    """Eq. (2) coefficients C[i, k] = Π_{s≠k} λ_s / (λ_s − λ_k), plus the
-    per-row well-separated flag."""
+def _closed_form_coeff_batch(rates: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Eq. (2) coefficients C[i, k] = Π_{s≠k} λ_s / (λ_s − λ_k) of rows
+    whose valid rates are pairwise distinct."""
     diff = rates[:, None, :] - rates[:, :, None]  # diff[i, k, s] = λ_s − λ_k
     numer = np.broadcast_to(rates[:, None, :], diff.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -237,12 +373,10 @@ def _closed_form_coeff_batch(rates: np.ndarray, mask: np.ndarray):
     contributes = mask[:, None, :] & mask[:, :, None]
     eye = np.eye(rates.shape[1], dtype=bool)
     np.copyto(ratio, 1.0, where=~contributes | eye)
-    # Rows with exactly-duplicated rates produce inf/nan coefficients
-    # here; they are routed to the matrix-exponential fallback by the
-    # caller, so the overflow noise is expected and silenced.
+    # Padding against padding divides 0 by 0; those factors were replaced
+    # above, and a separated row's products stay finite.
     with np.errstate(invalid="ignore", over="ignore"):
-        coeff = ratio.prod(axis=2)
-    return coeff, _batch_rows_well_separated(rates, mask)
+        return ratio.prod(axis=2)
 
 
 def hypoexponential_cdf_batch(
@@ -266,12 +400,15 @@ def hypoexponential_cdf_batch(
     -------
     np.ndarray
         ``out[i] = hypoexponential_cdf(rate_rows[i], t_i)`` to within
-        1e-10 (property-tested).  The closed form (Eq. 2) is evaluated in
-        one vectorized sweep; rows with clustered rates — or whose
-        alternating-sign sum strays outside the unit interval — fall back
-        to the matrix exponential, one stacked :func:`scipy.linalg.expm`
-        call per hop count, memoised per (rate tuple, t) in
-        ``_MATRIX_CDF_CACHE`` across calls.
+        1e-10 (property-tested).  Rows are routed by their rates first:
+        well-separated rows go through the closed form (Eq. 2) in one
+        vectorized sweep; the rest are evaluated one row at a time —
+        exactly repeated rates by the closed form for rate
+        multiplicities, accepted only under its rounding gate, and
+        clustered rates (or a sum straying outside the unit interval) by
+        the matrix exponential, one stacked :func:`scipy.linalg.expm`
+        call per hop count.  Per-row results are memoised per
+        (rate tuple, t) in ``_ROW_CDF_CACHE`` across calls.
 
     Each ``out[i]`` depends only on row *i*, its time and the padded
     width — never on the other rows — so a row evaluated alone at the
@@ -288,10 +425,10 @@ def hypoexponential_cdf_batch(
         # Trace estimation quantises rates to count/elapsed, so large
         # batches (one row per destination of a 10⁵-node sweep) repeat
         # the same hop tuples thousands of times.  Every stage below is
-        # row-independent — the closed-form coefficients, the gap check,
-        # and scipy's per-matrix expm — so collapsing duplicate
-        # (row, t) pairs returns bitwise the same values at a fraction
-        # of the expm cost.
+        # row-independent — the gap check, the closed-form coefficients,
+        # and the per-row repeated-rate closed form and expm — so
+        # collapsing duplicate (row, t) pairs returns bitwise the same
+        # values at a fraction of the cost.
         times_col = np.broadcast_to(np.asarray(t, dtype=float), (n_rows,))
         keyed = np.column_stack([padded, times_col])
         unique, inverse = np.unique(keyed, axis=0, return_inverse=True)
@@ -317,22 +454,28 @@ def hypoexponential_cdf_batch(
     mask = valid[live]
     tt = times[live][:, None]
 
-    # Eq. (2) closed form, batched.
-    coeff, separated = _closed_form_coeff_batch(rates, mask)
-    with np.errstate(invalid="ignore", over="ignore"):
-        terms = coeff * -np.expm1(-rates * tt)
-        closed = np.where(mask, terms, 0.0).sum(axis=1)
-        # Single-rate rows: the closed form degenerates to exactly 1 − e^{-λt}.
-        in_unit = (closed >= -1e-9) & (closed <= 1.0 + 1e-9)
-    ok = separated & in_unit
-    values = np.clip(closed, 0.0, 1.0)
-    if not ok.all():
-        # Fallback rows take the same route as the scalar
-        # hypoexponential_cdf (rate clustering + matrix exponential),
-        # batched through one stacked expm per hop count.
-        bad = np.nonzero(~ok)[0]
-        rate_lists = [rates[i][mask[i]].tolist() for i in bad]
-        values[bad] = _matrix_cdf_batch(rate_lists, tt[bad, 0])
+    # Eq. (2) closed form, batched over the well-separated rows only.
+    values = np.zeros(len(rates))
+    swept = _batch_rows_well_separated(rates, mask)  # rows the sweep settles
+    sweep = np.nonzero(swept)[0]
+    if len(sweep):
+        sep_rates, sep_mask = rates[sweep], mask[sweep]
+        coeff = _closed_form_coeff_batch(sep_rates, sep_mask)
+        with np.errstate(invalid="ignore", over="ignore"):
+            terms = coeff * -np.expm1(-sep_rates * tt[sweep])
+            closed = np.where(sep_mask, terms, 0.0).sum(axis=1)
+            # Single-rate rows: the closed form degenerates to exactly 1 − e^{-λt}.
+            in_unit = (closed >= -1e-9) & (closed <= 1.0 + 1e-9)
+        values[sweep] = np.clip(closed, 0.0, 1.0)
+        swept[sweep[~in_unit]] = False
+    if not swept.all():
+        # Repeated or clustered rates, and separated rows whose
+        # alternating-sign sum strays outside the unit interval: one row
+        # at a time (repeated-rate closed form, else rate clustering + the
+        # matrix exponential, as in the scalar hypoexponential_cdf).
+        rest = np.nonzero(~swept)[0]
+        rate_lists = [rates[i][mask[i]].tolist() for i in rest]
+        values[rest] = _row_cdf_batch(rate_lists, tt[rest, 0])
     out[live] = values
     return out
 

@@ -96,6 +96,7 @@ class ContactTrace:
         end_time: Optional[float] = None,
     ):
         self._contacts: List[Contact] = sorted(contacts)
+        derived_end = 0.0
         if self._contacts:
             derived_start = self._contacts[0].start
             derived_end = max(c.end for c in self._contacts)
@@ -110,7 +111,8 @@ class ContactTrace:
                     f"ending at {derived_end}"
                 )
         self._start_time = None if start_time is None else float(start_time)
-        self._end_time = None if end_time is None else float(end_time)
+        # The trace is immutable, so the end is resolved once here.
+        self._end_time = derived_end if end_time is None else float(end_time)
         if num_nodes is None:
             if not self._contacts:
                 raise TraceConsistencyError("empty trace requires explicit num_nodes")
@@ -155,9 +157,7 @@ class ContactTrace:
 
     @property
     def end_time(self) -> float:
-        if self._end_time is not None:
-            return self._end_time
-        return max((c.end for c in self._contacts), default=0.0)
+        return self._end_time
 
     @property
     def duration(self) -> float:

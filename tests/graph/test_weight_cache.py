@@ -148,9 +148,9 @@ class TestDemandDrivenWeights:
         assert graph.is_sparse == (num_nodes >= DENSE_NODE_THRESHOLD)
         budget = 20.0
         eager = shortest_path_weights_from(graph, source, budget)
-        # Evaluate the lazy values afresh, not from the expm memo the
+        # Evaluate the lazy values afresh, not from the per-row memo the
         # eager sweep just filled.
-        hypoexp_module._MATRIX_CDF_CACHE.clear()
+        hypoexp_module._ROW_CDF_CACHE.clear()
         cache = PathWeightCache()
         rng = np.random.default_rng(num_nodes)
         order = [int(node) for node in rng.permutation(num_nodes)]

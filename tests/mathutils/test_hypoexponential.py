@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import gammainc
+
 from repro.mathutils.hypoexponential import (
     Hypoexponential,
     _closed_form_cdf,
+    _erlang_cdfs,
     _matrix_cdf,
+    _repeated_rate_cdf,
     hypoexponential_cdf,
     path_delivery_probability,
 )
@@ -47,6 +51,46 @@ class TestClosedFormVsMatrix:
         rates = [1.0, 1.0 + 1e-9, 1.0 + 2e-9]
         value = hypoexponential_cdf(rates, 3.0)
         assert 0.0 <= value <= 1.0
+
+
+class TestRepeatedRateClosedForm:
+    @pytest.mark.parametrize("order", [1, 2, 5, 13, 21])
+    def test_erlang_cdfs_are_relatively_accurate(self, order):
+        # The rounding gate scales each coefficient by its Erlang CDF, so
+        # a tiny CDF must be accurate relative to itself, not just to 1.
+        for x in [*np.logspace(-8, 3, 45), order - 1e-9, float(order), order + 0.5]:
+            expected = gammainc(np.arange(1, order + 1), x)
+            np.testing.assert_allclose(_erlang_cdfs(order, float(x)), expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 9.0])
+    def test_erlang_row_matches_textbook_formula(self, t):
+        erlang = 1.0 - math.exp(-t) * (1 + t + t * t / 2)
+        assert _repeated_rate_cdf([1.0, 1.0, 1.0], t) == pytest.approx(erlang, abs=1e-15)
+
+    def test_two_rate_multiplicities_match_matrix_path(self):
+        rates = [0.1] * 5 + [0.5] * 7
+        for t in (1.0, 30.0, 200.0):
+            assert _repeated_rate_cdf(rates, t) == pytest.approx(
+                _matrix_cdf(rates, t), abs=1e-13
+            )
+
+    def test_rounding_gate_rejects_a_cancelling_sum_inside_the_unit_interval(self):
+        # Distinct rates 10 % apart, four of each: the coefficients reach
+        # ~1e8 and cancel.  The signed sum still lands in [0, 1] but is off
+        # by ~1e-8, so only the gate keeps it from being returned.
+        assert _repeated_rate_cdf([1.0] * 4 + [1.1] * 4, 5.0) is None
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            # a rate ratio near 1e6 raised to the 60th power overflows
+            [1.0] * 60 + [1.0000011] * 60,
+            # each factor fits, their product overflows to ±inf
+            [1.0] + [1.0000011] * 20 + [0.9999989] * 20 + [1.0000023] * 20,
+        ],
+    )
+    def test_coefficients_past_the_float_range_are_rejected(self, rates):
+        assert _repeated_rate_cdf(rates, 50.0) is None
 
 
 class TestValidation:

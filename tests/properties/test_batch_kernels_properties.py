@@ -9,7 +9,9 @@ graphs) that motivated the fallback machinery.
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
+from scipy.linalg import expm
 
 from repro.core.ncl import ncl_metrics
 from repro.graph.contact_graph import ContactGraph
@@ -24,7 +26,7 @@ from repro.mathutils.hypoexponential import (
     hypoexponential_cdf_batch,
     pad_rate_rows,
 )
-from tests.oracles import _reference_ncl_metrics
+from tests.oracles import _reference_cdf_batch, _reference_ncl_metrics
 
 rate_row = st.lists(
     st.floats(min_value=1e-5, max_value=10.0, allow_nan=False, allow_infinity=False),
@@ -74,6 +76,94 @@ def test_batch_cdf_accepts_padded_matrix_form(rows, t):
     np.testing.assert_array_equal(ragged, padded)
 
 
+# --- exactly repeated rates --------------------------------------------------
+#
+# Trace estimation quantises rates to count/elapsed, so long paths repeat
+# a handful of rates many times.  These rows take the closed form for rate
+# multiplicities instead of the matrix exponential.
+
+#: trace-like quantised rates (contacts per day) or arbitrary ones; two
+#: arbitrary draws may land close together, which the rounding gate and
+#: the clustering check must route to the matrix exponential
+vocabulary_rate = st.integers(min_value=1, max_value=400).map(lambda count: count / 86400.0) | (
+    st.floats(min_value=1e-4, max_value=5.0)
+)
+
+
+@st.composite
+def repeated_rate_rows(draw):
+    """Rows drawn from a vocabulary of 1-6 rates, each rate repeated up to
+    15 times and at most 21 hops per row (the range trace-estimated
+    13-18-hop trees reach), with one time per row."""
+    vocabulary = draw(st.lists(vocabulary_rate, min_size=1, max_size=6, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        counts = [draw(st.integers(min_value=0, max_value=15)) for _ in vocabulary]
+        row = [rate for rate, count in zip(vocabulary, counts) for _ in range(count)]
+        row = draw(st.permutations(row[:21] or vocabulary[:1]))
+        rows.append(list(row))
+    times = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=2e5), min_size=len(rows), max_size=len(rows)
+        )
+    )
+    return rows, np.array(times)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=repeated_rate_rows())
+def test_repeated_rate_rows_match_reference(batch):
+    rows, times = batch
+    hypoexp_module._ROW_CDF_CACHE.clear()
+    np.testing.assert_allclose(
+        hypoexponential_cdf_batch(rows, times),
+        _reference_cdf_batch(rows, times),
+        atol=1e-10,
+        rtol=0,
+    )
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Count the matrix exponentials the batch kernel evaluates."""
+    calls = []
+
+    def counting_expm(matrices):
+        calls.append(len(matrices))
+        return expm(matrices)
+
+    monkeypatch.setattr(hypoexp_module, "expm", counting_expm)
+    hypoexp_module._ROW_CDF_CACHE.clear()
+    yield calls
+    hypoexp_module._ROW_CDF_CACHE.clear()
+
+
+@pytest.mark.parametrize(
+    "row", [[0.25] * 12, [0.1] * 5 + [0.5] * 7, [0.5, 0.1] * 9 + [2.0] * 3]
+)
+def test_repeated_rates_take_the_closed_form(row, expm_calls):
+    value = hypoexponential_cdf_batch([row], 30.0)[0]
+    assert expm_calls == []
+    assert abs(value - hypoexponential_cdf(row, 30.0)) < 1e-10
+
+
+def test_near_duplicate_rates_still_take_the_matrix_exponential(expm_calls):
+    row = [0.2, 0.2 + 1e-12, 0.2, 0.7]
+    value = hypoexponential_cdf_batch([row], 30.0)[0]
+    assert expm_calls == [1]
+    assert abs(value - hypoexponential_cdf(row, 30.0)) < 1e-10
+
+
+def test_rows_failing_the_rounding_gate_take_the_matrix_exponential(expm_calls):
+    # Distinct rates 10 % apart, four of each: the partial-fraction
+    # coefficients cancel, so the gate sends the row to the matrix
+    # exponential rather than return the sum.
+    row = [1.0] * 4 + [1.1] * 4
+    value = hypoexponential_cdf_batch([row], 5.0)[0]
+    assert expm_calls == [1]
+    assert abs(value - hypoexponential_cdf(row, 5.0)) < 1e-10
+
+
 # --- row independence --------------------------------------------------------
 #
 # Demand-driven path weights evaluate a few rows of a weight vector on
@@ -81,10 +171,10 @@ def test_batch_cdf_accepts_padded_matrix_form(rows, t):
 # holds because every stage of the batch kernel is row-independent at a
 # fixed pad width: duplicate collapsing, the closed-form coefficients,
 # the pairwise row sums (whose order depends on the width, not on the
-# other rows) and the per-matrix expm fallback.
+# other rows) and the per-row repeated-rate closed form and expm fallback.
 
 #: a small rate vocabulary, so rows repeat exactly (the dedup path) and
-#: rates repeat within a row (the expm fallback)
+#: rates repeat within a row (the repeated-rate closed form)
 quantised_rate = st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0, 2.0]) | st.floats(
     min_value=1e-3, max_value=5.0
 )
@@ -109,12 +199,13 @@ def padded_batches(draw):
 
 
 def _assert_rows_match_single_row_calls(padded, t):
-    hypoexp_module._MATRIX_CDF_CACHE.clear()
+    hypoexp_module._ROW_CDF_CACHE.clear()
     batch = hypoexponential_cdf_batch(padded, t)
-    for row, value in zip(padded, batch):
-        # Clear the expm memo so the single row is evaluated afresh.
-        hypoexp_module._MATRIX_CDF_CACHE.clear()
-        alone = hypoexponential_cdf_batch(row[None, :], t)[0]
+    times = np.broadcast_to(np.asarray(t, dtype=float), (len(padded),))
+    for row, row_t, value in zip(padded, times, batch):
+        # Clear the per-row memo so the single row is evaluated afresh.
+        hypoexp_module._ROW_CDF_CACHE.clear()
+        alone = hypoexponential_cdf_batch(row[None, :], row_t)[0]
         assert float(alone).hex() == float(value).hex()
 
 
@@ -143,10 +234,51 @@ def test_row_independence_covers_dedup_fallback_and_wide_rows():
         padded[row, : len(tuples[pick])] = tuples[pick]
     assert len(padded) >= hypoexp_module._DEDUP_MIN_ROWS
     assert len(np.unique(padded, axis=0)) < len(padded)
-    hypoexp_module._MATRIX_CDF_CACHE.clear()
+    hypoexp_module._ROW_CDF_CACHE.clear()
     hypoexponential_cdf_batch(padded, 3.0)
-    assert hypoexp_module._MATRIX_CDF_CACHE  # some rows took the fallback
+    # Some rows left the vectorised sweep for the per-row paths.
+    assert hypoexp_module._ROW_CDF_CACHE
     _assert_rows_match_single_row_calls(padded, 3.0)
+
+
+@st.composite
+def mixed_route_batches(draw):
+    """A padded batch mixing every route of the kernel: well-separated
+    rows (vectorised sweep), exactly repeated rates (per-row closed form),
+    close distinct rates (rejected by the rounding gate) and
+    near-duplicates (clustered expm), with one time per row."""
+    width = draw(st.integers(min_value=2, max_value=21))
+    base = st.floats(min_value=1e-3, max_value=5.0)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        length = draw(st.integers(min_value=1, max_value=width))
+        kind = draw(st.sampled_from(["separated", "repeated", "gated", "clustered"]))
+        if kind == "separated":
+            row = draw(st.lists(base, min_size=length, max_size=length, unique=True))
+        elif kind == "repeated":
+            vocabulary = draw(st.lists(quantised_rate, min_size=1, max_size=4))
+            row = [vocabulary[i % len(vocabulary)] for i in range(length)]
+        elif kind == "gated":
+            rate = draw(base)
+            row = [rate if i % 2 else rate * (1.0 + 1e-4) for i in range(length)]
+        else:
+            rate = draw(base)
+            row = [rate * (1.0 + 1e-12 * (i % 3)) for i in range(length)]
+        rows.append(row)
+    padded = np.zeros((len(rows), width))
+    for index, row in enumerate(rows):
+        padded[index, : len(row)] = row
+    times = draw(
+        st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=len(rows), max_size=len(rows))
+    )
+    return padded, np.array(times)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=mixed_route_batches())
+def test_mixed_route_rows_equal_single_row_calls_bitwise(batch):
+    padded, times = batch
+    _assert_rows_match_single_row_calls(padded, times)
 
 
 def _random_graph(num_nodes: int, edge_probability: float, seed: int) -> ContactGraph:

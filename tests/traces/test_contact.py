@@ -65,6 +65,27 @@ class TestContactTrace:
         assert trace.duration == 45.0
         assert len(trace) == 3
 
+    def test_end_time_is_latest_end_not_last_start(self):
+        # The contact that starts last ends first: the end is the
+        # maximum over every contact's end, not the last record's.
+        trace = ContactTrace(
+            [Contact(0.0, 100.0, 0, 1), Contact(50.0, 60.0, 1, 2)], num_nodes=3
+        )
+        assert trace.contacts[-1].end == 60.0
+        assert trace.end_time == 100.0
+        assert trace.duration == 100.0
+
+    def test_declared_end_time_wins_over_derived_end(self):
+        trace = ContactTrace(
+            [Contact(0.0, 100.0, 0, 1), Contact(50.0, 60.0, 1, 2)],
+            num_nodes=3,
+            start_time=-10.0,
+            end_time=250.0,
+        )
+        assert trace.end_time == 250.0
+        assert trace.duration == 260.0
+        assert ContactTrace([], num_nodes=2, end_time=40.0).end_time == 40.0
+
     def test_num_nodes_inferred(self):
         trace = ContactTrace([Contact(0.0, 1.0, 2, 9)])
         assert trace.num_nodes == 10
