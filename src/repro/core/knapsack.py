@@ -28,15 +28,20 @@ solver's determinism contract).  What remains unrepaired is bounded:
 combining one oversize item with sub-resolution leftovers can be missed,
 costing at most the value packable into one resolution unit.
 
-The DP table fill is :func:`_knapsack_keep`, a pure-Python 1-D
-strict-improvement recurrence; ties resolve toward earlier items.
+The DP table fill is :func:`_knapsack_keep`, the 1-D strict-improvement
+recurrence run as one NumPy pass per item over the capacity axis; ties
+resolve toward earlier items.  ``tests/oracles.py`` keeps the per-cell
+Python loop as ``_reference_knapsack_keep`` and a property test pins the
+keep table to it cell for cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import KnapsackError
 
@@ -83,24 +88,26 @@ def _resolution_for(capacity: int, max_capacity_units: int) -> int:
 
 def _knapsack_keep(
     values: Sequence[float], sizes: Sequence[int], cap_units: int
-) -> List[List[bool]]:
+) -> np.ndarray:
     """1-D 0/1 knapsack table fill (Eq. 7).
 
     Returns the keep table (``keep[i][w]`` = item *i* taken at capacity
     *w*); ties resolve toward earlier items via the strict ``>``.
+
+    One NumPy pass per item over the capacity axis.  In the classic
+    descending 1-D update cell *w* reads only ``best[w - size]`` from
+    before the item's pass, so computing every candidate from the old
+    row first is the same recurrence with the same IEEE add and the
+    same strict comparison.
     """
     width = cap_units + 1
-    best = [0.0] * width
-    keep: List[List[bool]] = []
-    for value, size in zip(values, sizes):
-        keep_row = [False] * width
-        # Iterate capacity descending: classic 1-D 0/1 knapsack update.
-        for w in range(cap_units, size - 1, -1):
-            candidate = best[w - size] + value
-            if candidate > best[w]:
-                best[w] = candidate
-                keep_row[w] = True
-        keep.append(keep_row)
+    best = np.zeros(width)
+    keep = np.zeros((len(sizes), width), dtype=bool)
+    for i, (value, size) in enumerate(zip(values, sizes)):
+        candidate = best[: width - size] + value
+        take = candidate > best[size:]
+        keep[i, size:] = take
+        best[size:] = np.where(take, candidate, best[size:])
     return keep
 
 
@@ -108,7 +115,6 @@ def _solve(
     items: Sequence[KnapsackItem],
     capacity: int,
     max_capacity_units: int,
-    qsize_cache: Optional[Dict[int, Dict[int, int]]],
 ) -> KnapsackSolution:
     """Shared solver core behind :func:`solve_knapsack` and
     :meth:`KnapsackPool.solve` (one code path keeps them bitwise equal)."""
@@ -122,19 +128,7 @@ def _solve(
 
     resolution = _resolution_for(capacity, max_capacity_units)
     cap_units = capacity // resolution
-    if qsize_cache is None:
-        sizes = [math.ceil(item.size / resolution) for item in items]
-    else:
-        # Memoised per (resolution, raw size): math.ceil of the same
-        # float division, so cached and uncached paths agree bitwise.
-        table = qsize_cache.setdefault(resolution, {})
-        sizes = []
-        for item in items:
-            quantised = table.get(item.size)
-            if quantised is None:
-                quantised = math.ceil(item.size / resolution)
-                table[item.size] = quantised
-            sizes.append(quantised)
+    sizes = [math.ceil(item.size / resolution) for item in items]
 
     feasible = [
         (item, size) for item, size in zip(items, sizes) if size <= cap_units
@@ -198,29 +192,26 @@ def solve_knapsack(
     docstring).  Deterministic: ties are resolved by preferring items
     earlier in the input sequence.
     """
-    return _solve(items, capacity, max_capacity_units, qsize_cache=None)
+    return _solve(items, capacity, max_capacity_units)
 
 
 class KnapsackPool:
-    """Shared quantisation cache for the repeated Eq. 7 solves of a tick.
+    """The replacement policy's entry point to the Eq. 7 solver.
 
-    Algorithm 1 re-solves the knapsack once per round per side over
-    overlapping item sets and shrinking capacities, and the simulator
-    may run several exchanges in one tick.  A pool memoises every item
-    size's quantisation per resolution, so each pool member is rounded
-    once per resolution instead of once per solve.  Results are those of
-    :func:`solve_knapsack` call-for-call (same code path), so batching
-    is bitwise-invisible.
+    Binds ``max_capacity_units`` once for the lifetime of the owning
+    policy; every Algorithm 1 round of every exchange solves through
+    :meth:`solve`.  Results are those of :func:`solve_knapsack`
+    call-for-call (same code path).  ``perfbench/tracer.py`` times the
+    ``core.knapsack.solve`` layer by wrapping :meth:`solve` by name.
     """
 
     def __init__(self, max_capacity_units: int = 4096):
         if max_capacity_units < 1:
             raise KnapsackError("max_capacity_units must be >= 1")
         self._max_capacity_units = int(max_capacity_units)
-        self._qsize_cache: Dict[int, Dict[int, int]] = {}
 
     def solve(
         self, items: Sequence[KnapsackItem], capacity: int
     ) -> KnapsackSolution:
-        """Exactly :func:`solve_knapsack`, with the pool's caches."""
-        return _solve(items, capacity, self._max_capacity_units, self._qsize_cache)
+        """Exactly :func:`solve_knapsack` at the pool's capacity axis."""
+        return _solve(items, capacity, self._max_capacity_units)

@@ -428,9 +428,8 @@ class UtilityKnapsackPolicy(ReplacementPolicy):
             raise ValueError("max_rounds must be >= 1")
         self.probabilistic = probabilistic
         self.max_rounds = max_rounds
-        # Shared across all exchanges this policy handles: one size
-        # quantisation per tick-wide pool instead of a per-solve
-        # recompute.
+        # Every exchange and admission this policy handles solves
+        # through the one pool.
         self._pool = KnapsackPool()
 
     # --- admit: utility-ordered eviction ------------------------------
@@ -494,7 +493,8 @@ class UtilityKnapsackPolicy(ReplacementPolicy):
         utility_a = _memo_utility(context.utility_a)
         utility_b = _memo_utility(context.utility_b)
         kept_a = self._select_for(buffer_a, pool, utility_a, context)
-        remainder = [d for d in pool if d.data_id not in {x.data_id for x in kept_a}]
+        kept_a_ids = {x.data_id for x in kept_a}
+        remainder = [d for d in pool if d.data_id not in kept_a_ids]
         kept_b = self._select_for(buffer_b, remainder, utility_b, context)
         kept_b_ids = {x.data_id for x in kept_b}
         leftover = [d for d in remainder if d.data_id not in kept_b_ids]

@@ -5,11 +5,14 @@ tolerance where the vectorized path reorders float reductions, and exact
 where it does not.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import knapsack
 from repro.core.knapsack import KnapsackItem, KnapsackPool, solve_knapsack
 from repro.core.ncl import ncl_metrics
 from repro.graph.contact_graph import ContactGraph
@@ -20,6 +23,7 @@ from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trac
 from repro.units import DAY, MEGABIT, WEEK
 from tests.oracles import (
     _reference_cdf_batch,
+    _reference_knapsack_keep,
     _reference_ncl_metrics,
     _reference_weight_matrix,
 )
@@ -102,3 +106,71 @@ def test_knapsack_pool_matches_solve(instance):
     pooled = KnapsackPool().solve(items, capacity)
     assert direct == pooled
     assert direct.total_size <= capacity
+
+
+# Tie-heavy values: equal totals and 0.1 + 0.2 != 0.3 are common, so the
+# strict-improvement tie-break toward earlier items is exercised.
+tie_values = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+@st.composite
+def dp_instances(draw):
+    cap_units = draw(
+        st.one_of(st.just(1), st.integers(min_value=2, max_value=40), st.just(4095))
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(tie_values, st.integers(min_value=1, max_value=cap_units)),
+            min_size=0,
+            max_size=16,
+        )
+    )
+    return [v for v, _ in rows], [s for _, s in rows], cap_units
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=dp_instances())
+def test_knapsack_keep_matches_reference(instance):
+    values, sizes, cap_units = instance
+    fast = knapsack._knapsack_keep(values, sizes, cap_units)
+    slow = _reference_knapsack_keep(values, sizes, cap_units)
+    assert fast.shape == (len(sizes), cap_units + 1)
+    assert fast.tolist() == slow
+
+
+@st.composite
+def tie_instances(draw):
+    # Raw capacities both below and far above the 4096-cell axis, and
+    # sizes reaching a quarter past the capacity so the oversize
+    # singleton repair is drawn as well.
+    capacity = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=64),
+            st.integers(min_value=1, max_value=600 * MEGABIT),
+        )
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(
+                tie_values,
+                st.integers(min_value=1, max_value=capacity + capacity // 4 + 1),
+            ),
+            min_size=0,
+            max_size=16,
+        )
+    )
+    items = [KnapsackItem(i, value, size) for i, (value, size) in enumerate(rows)]
+    return items, capacity
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=tie_instances())
+def test_knapsack_solution_matches_reference_dp(instance):
+    items, capacity = instance
+    fast = solve_knapsack(items, capacity)
+    with mock.patch.object(knapsack, "_knapsack_keep", _reference_knapsack_keep):
+        slow = solve_knapsack(items, capacity)
+    assert fast == slow
